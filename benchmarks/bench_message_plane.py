@@ -1,23 +1,19 @@
-"""MESSAGE-PLANE — object vs batch delivery throughput along the node axis.
+"""MESSAGE-PLANE — delivery throughput along the node axis.
 
 Not a figure of the paper; the scaling benchmark for the array-backed
-batch message plane (:mod:`repro.network.batch`).  It drives the same
-mean-update exchange through every scheduler on both delivery planes —
-the legacy per-``Message``-object plane and the vectorized batch plane —
-over n in {64, 256, 1024, 4096}, and reports rounds/sec plus the
-batch/object speedup per (scheduler, n) pair.
-
-The object plane materialises n^2 message objects per round, so it is
-measured only up to n=1024; n=4096 runs on the batch plane alone (the
-point of the refactor: the node axis scales past where per-object
-delivery is usable at all).
+delivery path (:mod:`repro.network.batch`).  It drives the same
+full-broadcast exchange through every scheduler over n in
+{64, 256, 1024, 4096} and reports rounds/sec per (scheduler, n) pair.
+Every row carries ``plane: "batch"``, the name of the one delivery
+representation, so its headline key matches the committed baseline.
 
 Running it writes a ``BENCH_message_plane.json`` artifact:
 
     PYTHONPATH=src python benchmarks/bench_message_plane.py
 
-``--smoke`` runs the single CI gate — lossy delivery at n=1024, d=256 on
-both planes — and asserts the batch plane is at least 5x faster:
+``--smoke`` runs the single CI cell — lossy delivery at n=1024, d=256 —
+whose rounds/sec ``check_baselines.py`` compares against the committed
+baseline:
 
     PYTHONPATH=src python benchmarks/bench_message_plane.py --smoke
 
@@ -45,7 +41,7 @@ except ImportError:  # pragma: no cover - direct script execution
 from repro.engine import make_scheduler
 from repro.network.delivery import EmptyInboxError, full_broadcast_plan
 
-#: Scheduler configurations benchmarked on both planes.
+#: Scheduler configurations benchmarked.
 SCHEDULER_CASES = [
     {"scheduler": "synchronous", "kwargs": {}},
     {"scheduler": "partial", "kwargs": {"delay": 2}},
@@ -59,18 +55,14 @@ SCHEDULER_CASES = [
 SIZE_GRID = [(64, 30), (256, 10), (1024, 3), (4096, 2)]
 DIMENSION = 256
 
-#: The object plane builds n^2 Message objects per round — beyond this it
-#: is not usefully measurable (that is what the batch plane replaces).
-OBJECT_PLANE_MAX_N = 1024
-
 #: The partial scheduler's delay draws and the asynchronous scheduler's
-#: bitwise-pinned lag transform are per-link scalar work even on the
-#: batch plane, so their n=4096 cell would dominate the suite's runtime;
-#: the n=4096 completion gate runs on synchronous + lossy.
+#: bitwise-pinned lag transform are per-link scalar work, so their
+#: n=4096 cell would dominate the suite's runtime; the n=4096
+#: completion gate runs on synchronous + lossy.
 SCALAR_RNG_MAX_N = {"partial": 1024, "asynchronous": 1024}
 
-#: CI smoke gate: batch must beat object by at least this factor here.
-SMOKE_N, SMOKE_D, SMOKE_ROUNDS, SMOKE_MIN_SPEEDUP = 1024, 256, 3, 5.0
+#: CI smoke cell (lossy), compared against the committed baseline.
+SMOKE_N, SMOKE_D, SMOKE_ROUNDS = 1024, 256, 3
 
 
 def _case_label(case: Dict[str, object]) -> str:
@@ -85,21 +77,17 @@ def measure_case(
     n: int,
     d: int,
     rounds: int,
-    plane: str,
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Time ``rounds`` delivery rounds on one plane.
+    """Time ``rounds`` delivery rounds.
 
-    The timed loop is the message plane itself: every node broadcasts,
-    the scheduler delivers, and every receiver materialises its
-    consumption-ready ``(m, d)`` matrix — per-message payload stacking on
-    the object plane, one vectorized gather on the batch plane.  No
-    aggregation runs inside the loop (that cost is plane-independent and
-    would only dilute the comparison).
+    The timed loop is delivery itself: every node broadcasts, the
+    scheduler delivers, and every receiver materialises its
+    consumption-ready ``(m, d)`` matrix with one vectorized gather.  No
+    aggregation runs inside the loop (that cost is delivery-independent
+    and would only dilute the measurement).
     """
-    engine = make_scheduler(
-        scheduler, n, seed=seed, keep_history=False, message_plane=plane, **kwargs
-    )
+    engine = make_scheduler(scheduler, n, seed=seed, keep_history=False, **kwargs)
     engine.require_quorum(1, policy="starve")
     if scheduler == "asynchronous":
         # Event-driven delivery needs an explicit wait condition; a 2/3
@@ -126,7 +114,7 @@ def measure_case(
         "kwargs": {k: list(map(list, v)) if k == "crash_schedule" else v
                    for k, v in kwargs.items()},
         "label": _case_label({"scheduler": scheduler, "kwargs": kwargs}),
-        "plane": plane,
+        "plane": "batch",
         "n": n,
         "d": d,
         "rounds": rounds,
@@ -136,36 +124,20 @@ def measure_case(
     }
 
 
-def attach_speedups(rows: List[Dict[str, object]]) -> None:
-    """Annotate every batch row with its speedup over the paired object row."""
-    object_times = {
-        (row["label"], row["n"]): row["seconds"] / row["rounds"]
-        for row in rows
-        if row["plane"] == "object"
-    }
-    for row in rows:
-        if row["plane"] != "batch":
-            continue
-        base = object_times.get((row["label"], row["n"]))
-        if base is not None and row["seconds"] > 0:
-            row["speedup_vs_object"] = base / (row["seconds"] / row["rounds"])
-
-
 def run_trajectory(smoke: bool = False) -> Dict[str, object]:
-    """Measure every scheduler x plane over the node-axis grid."""
+    """Measure every scheduler over the node-axis grid."""
     # Warm up BLAS / allocator before timing anything.
-    measure_case("synchronous", {}, n=4, d=8, rounds=10, plane="batch")
+    measure_case("synchronous", {}, n=4, d=8, rounds=10)
     rows: List[Dict[str, object]] = []
     skipped: List[str] = []
     if smoke:
-        case = SCHEDULER_CASES[2]  # lossy: the CI gate's configuration
-        for plane in ("object", "batch"):
-            rows.append(
-                measure_case(
-                    case["scheduler"], dict(case["kwargs"]),
-                    n=SMOKE_N, d=SMOKE_D, rounds=SMOKE_ROUNDS, plane=plane,
-                )
+        case = SCHEDULER_CASES[2]  # lossy: the CI cell's configuration
+        rows.append(
+            measure_case(
+                case["scheduler"], dict(case["kwargs"]),
+                n=SMOKE_N, d=SMOKE_D, rounds=SMOKE_ROUNDS,
             )
+        )
     else:
         for n, rounds in SIZE_GRID:
             for case in SCHEDULER_CASES:
@@ -177,21 +149,12 @@ def run_trajectory(smoke: bool = False) -> Dict[str, object]:
                         f"(per-link scalar RNG work; n={n} skipped)"
                     )
                     continue
-                for plane in ("object", "batch"):
-                    if plane == "object" and n > OBJECT_PLANE_MAX_N:
-                        skipped.append(
-                            f"{_case_label(case)} object plane capped at "
-                            f"n={OBJECT_PLANE_MAX_N} (n^2 Message objects; "
-                            f"n={n} skipped)"
-                        )
-                        continue
-                    rows.append(
-                        measure_case(
-                            scheduler, dict(case["kwargs"]),
-                            n=n, d=DIMENSION, rounds=rounds, plane=plane,
-                        )
+                rows.append(
+                    measure_case(
+                        scheduler, dict(case["kwargs"]),
+                        n=n, d=DIMENSION, rounds=rounds,
                     )
-    attach_speedups(rows)
+                )
     return {
         "benchmark": "message_plane",
         "created_unix": time.time(),
@@ -204,15 +167,13 @@ def run_trajectory(smoke: bool = False) -> Dict[str, object]:
 
 def render_report(payload: Dict[str, object]) -> str:
     lines = [
-        f"{'scheduler':<44} {'plane':>6} {'n':>5} {'rounds':>6} "
-        f"{'rounds/s':>9} {'speedup':>8} {'delivered':>10}"
+        f"{'scheduler':<44} {'n':>5} {'rounds':>6} "
+        f"{'rounds/s':>9} {'delivered':>10}"
     ]
     for row in payload["cases"]:
-        speedup = row.get("speedup_vs_object")
         lines.append(
-            f"{row['label']:<44} {row['plane']:>6} {row['n']:>5} {row['rounds']:>6} "
+            f"{row['label']:<44} {row['n']:>5} {row['rounds']:>6} "
             f"{row['rounds_per_sec']:>9.2f} "
-            f"{(f'{speedup:.1f}x' if speedup is not None else '-'):>8} "
             f"{row['stats']['delivered']:>10}"
         )
     for note in payload.get("skipped", []):
@@ -221,7 +182,7 @@ def render_report(payload: Dict[str, object]) -> str:
 
 
 def check_sanity(payload: Dict[str, object]) -> None:
-    """Progress, message accounting, and the coverage the ISSUE pins."""
+    """Progress, message accounting, and n=4096 coverage."""
     for row in payload["cases"]:
         assert row["rounds_per_sec"] > 0, f"{row['label']} made no progress"
         stats = row["stats"]
@@ -231,27 +192,11 @@ def check_sanity(payload: Dict[str, object]) -> None:
             f"{row['label']} counters do not add up: {stats}"
         )
     if not payload["smoke"]:
-        # The refactor's headline: an honest-node round at n=4096 must
-        # complete on the batch plane and be recorded in the artifact.
+        # An honest-node round at n=4096 must complete and be recorded
+        # in the artifact.
         assert any(
-            row["n"] == 4096 and row["plane"] == "batch"
-            for row in payload["cases"]
-        ), "full run must include an n=4096 batch-plane case"
-
-
-def check_smoke_gate(payload: Dict[str, object]) -> None:
-    """CI gate: batch plane >= 5x object plane at n=1024, d=256, lossy."""
-    batch_rows = [
-        row for row in payload["cases"]
-        if row["plane"] == "batch" and row["n"] == SMOKE_N
-        and row["scheduler"] == "lossy" and "speedup_vs_object" in row
-    ]
-    assert batch_rows, "smoke run produced no paired lossy batch row"
-    speedup = batch_rows[0]["speedup_vs_object"]
-    assert speedup >= SMOKE_MIN_SPEEDUP, (
-        f"batch plane only {speedup:.2f}x over object at n={SMOKE_N}, "
-        f"d={SMOKE_D} lossy (need >= {SMOKE_MIN_SPEEDUP}x)"
-    )
+            row["n"] == 4096 for row in payload["cases"]
+        ), "full run must include an n=4096 case"
 
 
 def write_artifact(payload: Dict[str, object], path: str) -> None:
@@ -261,16 +206,13 @@ def write_artifact(payload: Dict[str, object], path: str) -> None:
 
 
 def test_message_plane_throughput():
-    """Pytest entry: smoke-sized gate + sanity checks + JSON artifact."""
+    """Pytest entry: smoke-sized cell + sanity checks + JSON artifact."""
     payload = run_trajectory(smoke=True)
     print_report(
-        "MESSAGE-PLANE",
-        "object vs batch delivery plane, rounds/sec",
-        render_report(payload),
+        "MESSAGE-PLANE", "delivery throughput, rounds/sec", render_report(payload)
     )
     write_artifact(payload, "BENCH_message_plane.json")
     check_sanity(payload)
-    check_smoke_gate(payload)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -278,7 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI gate only: lossy n=1024 d=256 on both planes, assert >= 5x",
+        help="CI cell only: lossy delivery at n=1024, d=256",
     )
     parser.add_argument(
         "--output",
@@ -288,15 +230,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     payload = run_trajectory(smoke=args.smoke)
     print_report(
-        "MESSAGE-PLANE",
-        "object vs batch delivery plane, rounds/sec",
-        render_report(payload),
+        "MESSAGE-PLANE", "delivery throughput, rounds/sec", render_report(payload)
     )
     write_artifact(payload, args.output)
     print(f"wrote {args.output}")
     check_sanity(payload)
-    if args.smoke:
-        check_smoke_gate(payload)
     return 0
 
 

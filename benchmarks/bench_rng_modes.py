@@ -3,11 +3,10 @@
 Not a figure of the paper; the scaling benchmark for the opt-in
 ``rng_mode="vectorized"`` fast path of the two stochastic-delay
 schedulers (:mod:`repro.engine.partial`, :mod:`repro.engine.asynchronous`).
-Both modes run on the batch message plane — the only plane the
-vectorized mode supports — so the measured gap is purely the draw
-strategy: the scalar per-link RNG loop (the bitwise-pinned reference)
-against one Bernoulli vector plus one lag vector per round (partial) or
-the whole-round numpy Pareto transform (asynchronous).
+Both modes run the same delivery path, so the measured gap is purely
+the draw strategy: the scalar per-link RNG loop (the bitwise-pinned
+reference) against one Bernoulli vector plus one lag vector per round
+(partial) or the whole-round numpy Pareto transform (asynchronous).
 
 The scalar partial loop is O(n^2) Python-level RNG calls per round
 (~54 s/round at n=4096 on the reference container), so its n=4096 cell
@@ -84,7 +83,7 @@ def measure_case(
     rng_mode: str,
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Time ``rounds`` delivery rounds in one rng_mode on the batch plane.
+    """Time ``rounds`` delivery rounds in one rng_mode.
 
     The timed loop is the stochastic delivery machinery itself: every
     node broadcasts, the scheduler draws its per-link delays and
@@ -93,8 +92,7 @@ def measure_case(
     is mode-independent and would only dilute the comparison).
     """
     engine = make_scheduler(
-        scheduler, n, seed=seed, keep_history=False,
-        message_plane="batch", rng_mode=rng_mode, **kwargs,
+        scheduler, n, seed=seed, keep_history=False, rng_mode=rng_mode, **kwargs,
     )
     engine.require_quorum(1, policy="starve")
     if scheduler == "asynchronous":

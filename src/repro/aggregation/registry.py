@@ -35,6 +35,16 @@ def available_rules() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def rule_class(name: str) -> Type[AggregationRule]:
+    """The rule class registered under ``name`` (case-insensitive)."""
+    key = name.strip().lower()
+    if key not in _REGISTRY:
+        raise KeyError(
+            f"unknown aggregation rule {name!r}; available: {available_rules()}"
+        )
+    return _REGISTRY[key]
+
+
 def make_rule(name: str, n: int | None = None, t: int = 0, **kwargs) -> AggregationRule:
     """Instantiate the rule registered under ``name``.
 
@@ -42,12 +52,7 @@ def make_rule(name: str, n: int | None = None, t: int = 0, **kwargs) -> Aggregat
     (e.g. ``q=3`` for Multi-Krum or ``max_subsets`` for the subset-search
     rules).
     """
-    key = name.strip().lower()
-    if key not in _REGISTRY:
-        raise KeyError(
-            f"unknown aggregation rule {name!r}; available: {available_rules()}"
-        )
-    return _REGISTRY[key](n=n, t=t, **kwargs)
+    return rule_class(name)(n=n, t=t, **kwargs)
 
 
 for _name, _cls in [

@@ -207,8 +207,6 @@ class AgreementProtocol:
         # its wait window expires).  An explicit count configured on the
         # engine beforehand wins over the quorum reading.
         self.engine.wait_for(quorum=True)
-        #: Backwards-compatible alias (this used to be a SynchronousNetwork).
-        self.network = self.engine
 
     def run(
         self,

@@ -33,11 +33,16 @@ def available_algorithms() -> list[str]:
     return sorted(_FACTORIES)
 
 
-def make_algorithm(name: str, n: int, t: int, **kwargs) -> AgreementAlgorithm:
-    """Instantiate the agreement algorithm registered under ``name``."""
+def algorithm_class(name: str) -> Callable[..., AgreementAlgorithm]:
+    """The algorithm class registered under ``name`` (case-insensitive)."""
     key = name.strip().lower()
     if key not in _FACTORIES:
         raise KeyError(
             f"unknown agreement algorithm {name!r}; available: {available_algorithms()}"
         )
-    return _FACTORIES[key](n, t, **kwargs)
+    return _FACTORIES[key]
+
+
+def make_algorithm(name: str, n: int, t: int, **kwargs) -> AgreementAlgorithm:
+    """Instantiate the agreement algorithm registered under ``name``."""
+    return algorithm_class(name)(n, t, **kwargs)

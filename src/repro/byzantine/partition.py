@@ -12,7 +12,7 @@ Two compositions of the same idea live here:
   partitioning is edge removal (cut every link crossing the two
   groups), healing is restoring the original topology.  Applied via
   :meth:`~repro.engine.base.RoundEngine.set_topology`, it works under
-  every scheduler and both message planes, and it stacks with the
+  every scheduler, and it stacks with the
   Byzantine :class:`PartitionAttack` above (the adversary exploits the
   cut instead of having to manufacture one through omission).
 """

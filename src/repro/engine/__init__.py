@@ -8,9 +8,8 @@ inboxes; the scheduler decides *when* (and whether) each link delivers:
 ========================================  =================================
 Scheduler                                  Timing model
 ========================================  =================================
-:class:`SynchronousScheduler`              lock-step (the paper; bitwise-
-                                           identical to the historical
-                                           ``SynchronousNetwork``)
+:class:`SynchronousScheduler`              lock-step (the paper's
+                                           synchronous rounds)
 :class:`PartiallySynchronousScheduler`     per-link random delays bounded
                                            by a delivery horizon
 :class:`LossyScheduler`                    seeded per-link loss plus
@@ -39,7 +38,6 @@ from repro.engine.lossy import LossyScheduler, normalise_crash_schedule
 from repro.engine.partial import PartiallySynchronousScheduler
 from repro.engine.rounds import attack_adversary_plan, run_exchange
 from repro.engine.synchronous import SynchronousScheduler
-from repro.network.batch import MESSAGE_PLANES, resolve_message_plane
 from repro.network.topology import Topology
 from repro.utils.rng import SeedLike
 
@@ -64,7 +62,6 @@ def make_scheduler(
     keep_history: bool = True,
     max_history: Optional[int] = None,
     require_full_broadcast: bool = True,
-    message_plane: Optional[str] = None,
     node_trace: bool = False,
     topology: Optional[Topology] = None,
     rng_mode: Optional[str] = None,
@@ -81,9 +78,9 @@ def make_scheduler(
     an error — a sweep axis that silently did nothing would corrupt
     conclusions.  ``require_full_broadcast=False`` builds the engine in
     star mode (honest senders may address a single receiver — the
-    centralized trainer's client -> server exchange).  ``message_plane``
-    / ``node_trace`` select the delivery representation and per-node
-    trace recording (see :class:`RoundEngine`); ``topology`` installs a
+    centralized trainer's client -> server exchange).  ``node_trace``
+    turns on per-node trace recording (see :class:`RoundEngine`);
+    ``topology`` installs a
     sparse communication graph every scheduler intersects with its own
     delivery decisions (``None`` = all-to-all).  ``rng_mode`` selects
     the draw strategy of the stochastic schedulers (``"scalar"`` =
@@ -98,7 +95,6 @@ def make_scheduler(
         keep_history=keep_history,
         max_history=max_history,
         require_full_broadcast=require_full_broadcast,
-        message_plane=message_plane,
         node_trace=node_trace,
         topology=topology,
     )
@@ -160,7 +156,6 @@ def make_scheduler(
 __all__ = [
     "AsynchronousScheduler",
     "LossyScheduler",
-    "MESSAGE_PLANES",
     "PartiallySynchronousScheduler",
     "RNG_MODES",
     "RoundEngine",
@@ -170,7 +165,6 @@ __all__ = [
     "attack_adversary_plan",
     "make_scheduler",
     "normalise_crash_schedule",
-    "resolve_message_plane",
     "resolve_rng_mode",
     "run_exchange",
 ]

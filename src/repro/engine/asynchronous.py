@@ -34,27 +34,23 @@ scenarios stay comparable across attack and wait-condition changes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine.base import RoundEngine, resolve_rng_mode
 from repro.network.batch import BatchInbox, RoundBatch
-from repro.network.message import Message
 from repro.network.reliable_broadcast import BroadcastPlan
 from repro.utils.rng import SeedLike, as_generator
 
-#: (arrival_time, send_round, sender, message) — the sort key order is
-#: the delivery order, which keeps executions deterministic per seed.
-_InFlight = Tuple[float, int, int, Message]
-
-
 def _empty_links() -> Tuple[np.ndarray, ...]:
-    """The batch plane's in-flight store: six parallel link arrays.
+    """The in-flight store: six parallel link arrays.
 
     ``(arrival, send_round, sender, receiver, batch_id, row)`` — one
     entry per undelivered link, with ``batch_id`` indexing the engine's
     in-flight batch registry and ``row`` the link's row in that batch.
+    ``(arrival, send_round, sender)`` is the delivery order, which
+    keeps executions deterministic per seed.
     """
     return (
         np.empty(0, dtype=np.float64),
@@ -93,13 +89,12 @@ class AsynchronousScheduler(RoundEngine):
     rng_mode:
         ``"scalar"`` (default) applies the Pareto transform through
         Python-float arithmetic, bitwise-identical to the pinned
-        per-message reference.  ``"vectorized"`` runs the transform as
+        reference stream.  ``"vectorized"`` runs the transform as
         one numpy expression over the whole round's uniforms — same
         draw count and order, but numpy's SIMD ``pow`` differs from
         scalar ``pow`` by an ulp on a few percent of inputs, so the
-        mode is validated statistically (``tests/test_rng_modes.py``)
-        and requires the batch message plane.  ``None`` reads
-        ``REPRO_RNG_MODE``.
+        mode is validated statistically (``tests/test_rng_modes.py``).
+        ``None`` reads ``REPRO_RNG_MODE``.
     """
 
     records_stats = True
@@ -120,7 +115,6 @@ class AsynchronousScheduler(RoundEngine):
         keep_history: bool = True,
         max_history: Optional[int] = None,
         require_full_broadcast: bool = True,
-        message_plane: Optional[str] = None,
         node_trace: bool = False,
         topology=None,
         rng_mode: Optional[str] = None,
@@ -128,15 +122,9 @@ class AsynchronousScheduler(RoundEngine):
         super().__init__(
             n, byzantine, keep_history=keep_history, max_history=max_history,
             require_full_broadcast=require_full_broadcast,
-            message_plane=message_plane, node_trace=node_trace,
-            topology=topology,
+            node_trace=node_trace, topology=topology,
         )
         self.rng_mode = resolve_rng_mode(rng_mode)
-        if self.rng_mode == "vectorized" and self.message_plane != "batch":
-            raise ValueError(
-                "rng_mode='vectorized' requires the batch message plane "
-                "(the object plane is the per-message bitwise reference)"
-            )
         if delay_scale < 0.0:
             raise ValueError(f"delay_scale must be non-negative, got {delay_scale}")
         if tail_index <= 1.0:
@@ -166,10 +154,9 @@ class AsynchronousScheduler(RoundEngine):
         self.stats["expired_at_reset"] = 0
         self._rng = as_generator(seed)
         self._bursty = False
-        self._pending: Dict[int, List[_InFlight]] = {node: [] for node in range(self.n)}
-        # Batch-plane analogue of ``_pending``: parallel link arrays plus
-        # a registry of the batches those links reference (pruned as
-        # their last link delivers).
+        # In-flight links as parallel arrays, plus a registry of the
+        # batches those links reference (pruned as their last link
+        # delivers).
         self._pending_links: Tuple[np.ndarray, ...] = _empty_links()
         self._batches_in_flight: Dict[int, RoundBatch] = {}
         self._batch_seq = 0
@@ -183,12 +170,6 @@ class AsynchronousScheduler(RoundEngine):
         else:
             self._bursty = u < self.burstiness
 
-    def _draw_delay(self) -> float:
-        """One heavy-tailed link delay in rounds (Pareto, regime-scaled)."""
-        u = self._rng.random()
-        delay = self.delay_scale * ((1.0 - u) ** (-1.0 / self.tail_index) - 1.0)
-        return delay * self.burst_factor if self._bursty else delay
-
     # -- wait-condition resolution --------------------------------------------
     def _wait_target(self) -> int:
         if self.wait.count is not None:
@@ -201,67 +182,8 @@ class AsynchronousScheduler(RoundEngine):
             "before submitting a round"
         )
 
-    def _decision_time(self, arrivals: List[float], t0: float, target: int) -> float:
-        """When a node stops waiting: ``target`` arrivals or the timeout.
-
-        ``arrivals`` must be sorted ascending.  The node never decides
-        before the round starts (messages already queued count) and
-        never waits past ``t0 + timeout``.
-        """
-        timeout = (
-            self.wait.timeout_rounds
-            if self.wait.timeout_rounds is not None
-            else self.timeout_rounds
-        )
-        deadline = t0 + timeout
-        if 0 < target <= len(arrivals):
-            return min(deadline, max(t0, arrivals[target - 1]))
-        return deadline
-
     # -- delivery --------------------------------------------------------------
-    def _deliver_object(
-        self, plans: Sequence[BroadcastPlan], round_index: int
-    ) -> Dict[int, List[Message]]:
-        target = self._wait_target()  # fail fast, before any RNG draw
-        t0 = float(self.rounds_executed)
-        self._advance_regime()
-        fresh: List[Tuple[int, _InFlight]] = []
-        for plan, message in self._validated_messages(plans, round_index):
-            for receiver in range(self.n):
-                if not self._delivers_to(plan, receiver):
-                    continue
-                # Draw unconditionally (common random numbers), then let
-                # self-delivery / pinned adversary lags override.
-                drawn = self._draw_delay()
-                if receiver == plan.sender:
-                    lag = 0.0
-                elif plan.delays is not None and receiver in plan.delays:
-                    lag = float(plan.delay_to(receiver))  # uncapped: no horizon
-                else:
-                    lag = drawn
-                self.stats["sent"] += 1
-                entry = (t0 + lag, round_index, plan.sender, message)
-                self._pending[receiver].append(entry)
-                fresh.append((receiver, entry))
-
-        inboxes: Dict[int, List[Message]] = {node: [] for node in range(self.n)}
-        decisions: Dict[int, float] = {}
-        for receiver in range(self.n):
-            queue = sorted(self._pending[receiver], key=lambda e: e[:3])
-            decision = self._decision_time([e[0] for e in queue], t0, target)
-            decisions[receiver] = decision
-            arrived = [e for e in queue if e[0] <= decision]
-            self._pending[receiver] = [e for e in queue if e[0] > decision]
-            for _arrival, _send_round, _sender, message in arrived:
-                inboxes[receiver].append(message)
-                self.stats["delivered"] += 1
-        # A message sent this round but not delivered in it was late.
-        self.stats["delayed"] += sum(
-            1 for receiver, entry in fresh if entry[0] > decisions[receiver]
-        )
-        return inboxes
-
-    def _deliver_batch(
+    def _deliver(
         self, plans: Sequence[BroadcastPlan], round_index: int
     ) -> Dict[int, BatchInbox]:
         target = self._wait_target()  # fail fast, before any RNG draw
@@ -283,9 +205,9 @@ class AsynchronousScheduler(RoundEngine):
                 row_idx = coords[:, 0]
                 recv_idx = coords[:, 1]
             k = int(row_idx.shape[0])
-            # Common random numbers: one stream-identical vectorized fill
-            # for the k delivering links in the object plane's C-order
-            # walk (sender asc, receiver asc).
+            # Common random numbers: one vectorized fill for the k
+            # delivering links in C order (sender asc, receiver asc),
+            # drawn whether or not a pin overrides the link's lag.
             variates = self._rng.random(size=k)
             scale = self.delay_scale
             power = -1.0 / self.tail_index
@@ -338,8 +260,9 @@ class AsynchronousScheduler(RoundEngine):
 
         # Per receiver, deliver everything arrived by its decision time,
         # in (arrival, send_round, sender) order — one global lexsort
-        # with the receiver as outermost key replaces the per-receiver
-        # Python sorts of the object plane.
+        # with the receiver as outermost key.  A node decides once its
+        # wait target has arrived (never before the round start) or at
+        # the timeout deadline, whichever comes first.
         order = np.lexsort((sender, send_round, arrival, receiver))
         arr_sorted = arrival[order]
         recv_sorted = receiver[order]
@@ -421,16 +344,10 @@ class AsynchronousScheduler(RoundEngine):
     # -- lifecycle -------------------------------------------------------------
     def pending_count(self) -> int:
         """Messages currently in flight (sent but not yet delivered)."""
-        return sum(len(queue) for queue in self._pending.values()) + int(
-            self._pending_links[0].shape[0]
-        )
+        return int(self._pending_links[0].shape[0])
 
     def pending_count_per_node(self) -> np.ndarray:
-        counts = np.zeros(self.n, dtype=np.int64)
-        for node, queue in self._pending.items():
-            counts[node] += len(queue)
-        counts += np.bincount(self._pending_links[3], minlength=self.n)
-        return counts
+        return np.bincount(self._pending_links[3], minlength=self.n)
 
     def reset(self) -> None:
         """Drop history and expire in-flight messages at the exchange boundary.
@@ -441,10 +358,8 @@ class AsynchronousScheduler(RoundEngine):
         """
         expired = self.pending_count()
         self.stats["expired_at_reset"] += expired
-        if expired and self.message_plane == "batch":
+        if expired:
             self._node_counter("expired_at_reset")[:] += self.pending_count_per_node()
-        for queue in self._pending.values():
-            queue.clear()
         self._pending_links = _empty_links()
         self._batches_in_flight.clear()
         super().reset()

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.engine.base import RoundEngine
 from repro.network.batch import BatchInbox
-from repro.network.message import Message
 from repro.network.reliable_broadcast import BroadcastPlan
 from repro.utils.rng import SeedLike, as_generator
 
@@ -88,15 +87,13 @@ class LossyScheduler(RoundEngine):
         keep_history: bool = True,
         max_history: Optional[int] = None,
         require_full_broadcast: bool = True,
-        message_plane: Optional[str] = None,
         node_trace: bool = False,
         topology=None,
     ) -> None:
         super().__init__(
             n, byzantine, keep_history=keep_history, max_history=max_history,
             require_full_broadcast=require_full_broadcast,
-            message_plane=message_plane, node_trace=node_trace,
-            topology=topology,
+            node_trace=node_trace, topology=topology,
         )
         if not 0.0 <= drop_rate < 1.0:
             raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
@@ -115,42 +112,7 @@ class LossyScheduler(RoundEngine):
             for crashed, start, stop in self.crash_schedule
         )
 
-    def _deliver_object(
-        self, plans: Sequence[BroadcastPlan], round_index: int
-    ) -> Dict[int, List[Message]]:
-        clock = self.rounds_executed
-        inboxes: Dict[int, List[Message]] = {node: [] for node in range(self.n)}
-        for plan, message in self._validated_messages(plans, round_index):
-            sender_down = self.is_crashed(plan.sender, clock)
-            for receiver in range(self.n):
-                if not self._delivers_to(plan, receiver):
-                    continue
-                # Common random numbers: the per-link drop variate is
-                # drawn whether or not the crash schedule voids the link,
-                # so changing `crash_schedule` never reshuffles which of
-                # the surviving links drop for a fixed seed.
-                link_drops = (
-                    receiver != plan.sender
-                    and self.drop_rate > 0.0
-                    and self._rng.random() < self.drop_rate
-                )
-                if sender_down:
-                    # A crashed node "neither sends nor receives": this
-                    # message never left the sender, so it is not `sent`.
-                    self.stats["suppressed"] += 1
-                    continue
-                self.stats["sent"] += 1
-                if self.is_crashed(receiver, clock):
-                    self.stats["crash_omitted"] += 1
-                    continue
-                if link_drops:
-                    self.stats["dropped"] += 1
-                    continue
-                inboxes[receiver].append(message)
-                self.stats["delivered"] += 1
-        return inboxes
-
-    def _deliver_batch(
+    def _deliver(
         self, plans: Sequence[BroadcastPlan], round_index: int
     ) -> Dict[int, BatchInbox]:
         clock = self.rounds_executed
@@ -172,12 +134,12 @@ class LossyScheduler(RoundEngine):
 
         delivers = batch.delivers_mask()
         receivers = np.arange(n)
-        # Common random numbers: one vectorized fill whose C-order walk
-        # of (row, receiver) coordinates matches the object plane's
-        # nested sender-ascending / receiver-ascending loop, so the two
-        # planes consume the drop stream identically.  The variate is
-        # drawn whether or not a crash voids the link (never for
-        # self-delivery), exactly as the scalar path does.
+        # Common random numbers: one vectorized fill walking the
+        # delivering (row, receiver) links in C order (sender ascending,
+        # then receiver ascending) — the order the pinned drop stream
+        # was drawn in.  The variate is drawn whether or not a crash
+        # voids the link (never for self-delivery), so changing
+        # `crash_schedule` never reshuffles which surviving links drop.
         if self.drop_rate > 0.0:
             draw_mask = delivers & (batch.senders[:, None] != receivers[None, :])
             drops = np.zeros((num_senders, n), dtype=bool)

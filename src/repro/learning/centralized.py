@@ -25,7 +25,6 @@ from repro.engine.base import RoundEngine
 from repro.engine.synchronous import SynchronousScheduler
 from repro.learning.client import Client
 from repro.learning.history import RoundRecord, TrainingHistory
-from repro.network.batch import BatchInbox
 from repro.network.reliable_broadcast import BroadcastPlan
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD
@@ -148,9 +147,9 @@ class CentralizedTrainer:
 
         Returns the received ``(m, d)`` gradient stack in client order
         (``None`` when nothing arrived), the received count, and the
-        honest mean loss.  On the batch message plane the stack is one
-        vectorized gather — zero-copy for a fully delivered round — with
-        the rows bitwise-identical to stacking per-message payloads.
+        honest mean loss.  The stack is one vectorized gather —
+        zero-copy for a fully delivered round — with the rows
+        bitwise-identical to stacking per-message payloads.
         """
         honest_vectors: Dict[int, np.ndarray] = {}
         own_vectors: Dict[int, np.ndarray] = {}
@@ -206,36 +205,25 @@ class CentralizedTrainer:
             )
 
         result = self.engine.submit(plans, round_index)
-        inbox = result.inboxes.get(self.server_node, [])
+        inbox = result.inboxes[self.server_node]
         mean_loss = float(np.mean(losses)) if losses else float("nan")
-        if isinstance(inbox, BatchInbox):
-            if len(inbox) == 0:
-                return None, 0, mean_loss
-            # Reorder delivered rows into client order without building
-            # a single Message.  Delivery order already *is* client
-            # order for the horizon-based schedulers, keeping the gather
-            # zero-copy (and its transported sparsity profile attached);
-            # the asynchronous scheduler's arrival order needs one row
-            # permutation.
-            row_of = {s: i for i, s in enumerate(inbox.senders())}
-            order = [
-                row_of[client.client_id]
-                for client in self.clients
-                if client.client_id in row_of
-            ]
-            matrix = inbox.matrix()
-            if order != list(range(len(order))) or len(order) != len(inbox):
-                matrix = np.asarray(matrix)[np.asarray(order, dtype=np.int64)]
-            return matrix, len(order), mean_loss
-        delivered = {msg.sender: msg.payload for msg in inbox}
-        received = [
-            delivered[client.client_id]
-            for client in self.clients
-            if client.client_id in delivered
-        ]
-        if not received:
+        if len(inbox) == 0:
             return None, 0, mean_loss
-        return np.stack(received, axis=0), len(received), mean_loss
+        # Reorder delivered rows into client order without building a
+        # single Message.  Delivery order already *is* client order for
+        # the horizon-based schedulers, keeping the gather zero-copy (and
+        # its transported sparsity profile attached); the asynchronous
+        # scheduler's arrival order needs one row permutation.
+        row_of = {s: i for i, s in enumerate(inbox.senders())}
+        order = [
+            row_of[client.client_id]
+            for client in self.clients
+            if client.client_id in row_of
+        ]
+        matrix = inbox.matrix()
+        if order != list(range(len(order))) or len(order) != len(inbox):
+            matrix = np.asarray(matrix)[np.asarray(order, dtype=np.int64)]
+        return matrix, len(order), mean_loss
 
     # -- public API -----------------------------------------------------------
     def train(self, rounds: int, *, record_every: int = 1) -> TrainingHistory:

@@ -10,13 +10,14 @@ declarative and serialisable.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.aggregation.registry import make_rule
-from repro.agreement.registry import make_algorithm
+from repro.aggregation.registry import available_rules, make_rule, rule_class
+from repro.agreement.registry import algorithm_class, available_algorithms, make_algorithm
 from repro.byzantine.label_flip import LabelFlipAttack, flip_labels
 from repro.byzantine.registry import make_attack
 from repro.data.datasets import (
@@ -38,6 +39,34 @@ from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD
 from repro.utils.rng import stable_component_seed
 from repro.utils.validation import require
+
+#: Constructor arguments the experiment runners supply themselves, so
+#: ``aggregation_kwargs`` may not name them.
+_RUNNER_SUPPLIED_KWARGS = frozenset({"n", "t", "dtype"})
+
+
+def _check_aggregation(setting: str, name: str, kwargs: dict) -> None:
+    """Fail unless ``run_experiment`` can build ``name`` with ``kwargs``.
+
+    The centralized runner builds a rule through ``make_rule``, the
+    decentralized one an agreement algorithm through ``make_algorithm``;
+    the name must be registered there and every kwarg must be a keyword
+    of that class's constructor.
+    """
+    if setting == "centralized":
+        known, lookup = available_rules(), rule_class
+    else:
+        known, lookup = available_algorithms(), algorithm_class
+    require(name.strip().lower() in known,
+            f"unknown {setting} aggregation {name!r}; available: {known}")
+    params = inspect.signature(lookup(name)).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        return
+    accepted = sorted(set(params) - _RUNNER_SUPPLIED_KWARGS)
+    unknown = sorted(set(kwargs) - set(accepted))
+    require(not unknown,
+            f"aggregation_kwargs {unknown} are not accepted by {setting} "
+            f"aggregation {name!r} (accepted: {accepted})")
 
 
 @dataclass(frozen=True)
@@ -97,8 +126,8 @@ class ExperimentConfig:
     # results bit for bit, "float32" halves kernel bandwidth and is
     # accurate to the documented tolerance tier.
     dtype: str = "float64"
-    # Record per-node delivery traces on the engine (batch message plane
-    # only; see RoundEngine.node_trace_snapshot).  Off by default — the
+    # Record per-node delivery traces on the engine (see
+    # RoundEngine.node_trace_snapshot).  Off by default — the
     # per-round aggregate trace is usually enough and per-node rows cost
     # O(n) memory per round.
     node_trace: bool = False
@@ -124,6 +153,7 @@ class ExperimentConfig:
                 f"unknown dtype {self.dtype!r}; supported: {SUPPORTED_DTYPES}")
         require(self.setting in ("centralized", "decentralized"),
                 f"unknown setting {self.setting!r}")
+        _check_aggregation(self.setting, self.aggregation, self.aggregation_kwargs)
         require(self.dataset in ("mnist", "cifar10"), f"unknown dataset {self.dataset!r}")
         Heterogeneity(self.heterogeneity)  # validates
         require(self.num_clients >= 2, "need at least 2 clients")

@@ -53,9 +53,8 @@ class TrainingHistory:
     ``node_stats`` / ``node_delivery_trace`` resolve the same counters
     per *node* (receiver-attributed): cumulative ``(n,)`` lists per
     counter, and one per-round row of per-node deltas.  Populated only
-    when the experiment opted in (``ExperimentConfig.node_trace``, batch
-    message plane); each per-node list sums exactly to the matching
-    aggregate counter.
+    when the experiment opted in (``ExperimentConfig.node_trace``); each
+    per-node list sums exactly to the matching aggregate counter.
     """
 
     setting: str

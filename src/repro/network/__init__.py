@@ -47,7 +47,6 @@ __all__ = [
     "Message",
     "ReliableBroadcast",
     "RoundResult",
-    "SynchronousNetwork",
     "TOPOLOGY_NAMES",
     "Topology",
     "collect_plans",
@@ -58,15 +57,3 @@ __all__ = [
     "resolve_topology_name",
     "validate_topology",
 ]
-
-
-def __getattr__(name: str):
-    # Imported lazily (PEP 562): ``network.synchronous`` re-layers the
-    # historical ``SynchronousNetwork`` on ``repro.engine``, whose base
-    # classes import this package's delivery core — resolving the name
-    # on first access instead of at package init breaks that cycle.
-    if name == "SynchronousNetwork":
-        from repro.network.synchronous import SynchronousNetwork
-
-        return SynchronousNetwork
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

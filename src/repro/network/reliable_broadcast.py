@@ -143,14 +143,13 @@ class ReliableBroadcast:
                     f"(sender {plan.sender} requested delays)"
                 )
 
-    def deliver(
+    def plans_by_sender(
         self, plans: Sequence[BroadcastPlan], round_index: int
-    ) -> Dict[int, List[Message]]:
-        """Return the messages each node delivers this round.
+    ) -> Dict[int, BroadcastPlan]:
+        """Validate one round's plans and index them by sender.
 
-        The result maps receiver id to the list of delivered messages,
-        ordered by sender id (deterministic, which keeps experiments
-        reproducible).
+        Every plan passes :meth:`validate_plan`, and a sender may submit
+        at most one plan per round (no equivocation).
         """
         by_sender: Dict[int, BroadcastPlan] = {}
         for plan in plans:
@@ -161,7 +160,18 @@ class ReliableBroadcast:
                     "reliable broadcast admits at most one message per sender per round"
                 )
             by_sender[plan.sender] = plan
+        return by_sender
 
+    def deliver(
+        self, plans: Sequence[BroadcastPlan], round_index: int
+    ) -> Dict[int, List[Message]]:
+        """Return the messages each node delivers this round.
+
+        The result maps receiver id to the list of delivered messages,
+        ordered by sender id (deterministic, which keeps experiments
+        reproducible).
+        """
+        by_sender = self.plans_by_sender(plans, round_index)
         inbox: Dict[int, List[Message]] = {node: [] for node in range(self.n)}
         for sender in sorted(by_sender):
             plan = by_sender[sender]

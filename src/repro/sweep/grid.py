@@ -257,7 +257,10 @@ class ScenarioGrid:
                 overrides["seed"] = stable_component_seed(
                     self.base.seed, "sweep-cell", cell_id
                 )
-            config = self.base.with_overrides(**overrides)
+            try:
+                config = self.base.with_overrides(**overrides)
+            except ValueError as exc:
+                raise ValueError(f"cell {cell_id!r}: {exc}") from None
             cells.append(
                 SweepCell(
                     index=index,
@@ -272,28 +275,16 @@ class ScenarioGrid:
         """Expand the grid and fail fast on anything a cell run would hit.
 
         :meth:`cells` already applies :class:`ExperimentConfig`'s own
-        field validation; this additionally resolves the aggregation /
-        attack names against their registries, so a typo'd rule name
-        surfaces before the sweep starts instead of crashing some cell
-        hours in.  Returns the validated cells.
+        validation, aggregation names and kwargs included; this
+        additionally resolves the attack names against their registry,
+        so a typo surfaces before the sweep starts instead of crashing
+        some cell hours in.  Returns the validated cells.
         """
-        from repro.aggregation.registry import available_rules
-        from repro.agreement.registry import available_algorithms
         from repro.byzantine.registry import available_attacks
 
         cells = self.cells()
         for cell in cells:
             config = cell.config
-            known = (
-                available_rules()
-                if config.setting == "centralized"
-                else available_algorithms()
-            )
-            if config.aggregation not in known:
-                raise ValueError(
-                    f"cell {cell.cell_id!r}: unknown {config.setting} aggregation "
-                    f"{config.aggregation!r}; available: {known}"
-                )
             if config.attack is not None and config.attack not in available_attacks():
                 raise ValueError(
                     f"cell {cell.cell_id!r}: unknown attack {config.attack!r}; "

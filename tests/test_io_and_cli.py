@@ -133,6 +133,20 @@ class TestCliSweep:
         assert "2 cells" in out
         assert "aggregation=mean" in out and "aggregation=krum" in out
 
+    def test_dry_run_rejects_kwargs_a_cell_cannot_take(self, capsys, tmp_path):
+        spec = {
+            "base": {**self.SPEC["base"], "setting": "decentralized",
+                     "aggregation_kwargs": {"max_subsets": 3}},
+            "axes": {"aggregation": ["box-geom", "mean"]},
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["sweep", str(spec_path), "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid sweep spec" in captured.err
+        assert "aggregation=mean" in captured.err and "max_subsets" in captured.err
+        assert "[  0]" not in captured.out  # failed before listing any cell
+
     def test_sweep_runs_and_streams_rows(self, capsys, tmp_path):
         out_path = tmp_path / "rows.jsonl"
         code = main(["sweep", str(self._write_spec(tmp_path)),

@@ -71,6 +71,37 @@ class TestExperimentConfig:
         config = small_config(rounds=7)
         assert config.rounds == 7
 
+    @pytest.mark.parametrize("setting", ["centralized", "decentralized"])
+    def test_unknown_aggregation_rejected(self, setting):
+        with pytest.raises(ValueError, match=f"unknown {setting} aggregation 'bogus'"):
+            ExperimentConfig(setting=setting, aggregation="bogus")
+
+    def test_aggregation_checked_against_the_settings_registry(self):
+        # krum is a server-side rule; safe-area only exists as agreement.
+        assert ExperimentConfig(aggregation="krum").aggregation == "krum"
+        with pytest.raises(ValueError, match="unknown decentralized aggregation 'krum'"):
+            ExperimentConfig(setting="decentralized", aggregation="krum")
+        ExperimentConfig(setting="decentralized", aggregation="safe-area")
+        with pytest.raises(ValueError, match="unknown centralized aggregation"):
+            ExperimentConfig(aggregation="safe-area")
+
+    @pytest.mark.parametrize("setting", ["centralized", "decentralized"])
+    def test_aggregation_kwargs_checked_against_constructor(self, setting):
+        # Used to pass here and raise TypeError inside run_experiment.
+        with pytest.raises(ValueError, match=r"\['max_subsets'\] are not accepted"):
+            ExperimentConfig(setting=setting, aggregation="mean",
+                             aggregation_kwargs={"max_subsets": 3})
+        config = small_config(setting=setting, rounds=1,
+                              aggregation_kwargs={"max_subsets": 3})
+        assert run_experiment(config).setting == setting
+
+    def test_runner_supplied_kwargs_rejected(self):
+        with pytest.raises(ValueError, match="not accepted"):
+            ExperimentConfig(aggregation_kwargs={"n": 4})
+        with pytest.raises(ValueError, match="not accepted"):
+            ExperimentConfig(setting="decentralized",
+                             aggregation_kwargs={"dtype": "float32"})
+
 
 class TestBuildExperiment:
     def test_client_count_and_roles(self):

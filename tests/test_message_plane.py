@@ -1,18 +1,17 @@
-"""Batch message plane acceptance tests.
+"""Array-backed delivery acceptance tests.
 
-Four contracts of the array-backed delivery refactor:
+Four contracts of the array-backed delivery path:
 
-1. **Bitwise equivalence** — the batch plane (the new default) must
-   reproduce the object plane's pre-refactor outputs exactly for every
-   scheduler.  The reference numbers live in
-   ``tests/fixtures/message_plane_pre_refactor.json`` /
-   ``sweep_rows_pre_message_plane.jsonl``, generated at the last
-   pre-refactor commit by the sibling generator script (floats survive
-   the JSON round trip losslessly, so ``==`` is bitwise, and sweep rows
-   compare as serialised byte strings).  Cross-plane equivalence is also
-   checked live: the object plane stays available as
-   ``message_plane="object"`` and must agree with the batch plane
-   bitwise on matrices, senders, counters and traces.
+1. **Bitwise equivalence** — every scheduler must reproduce the outputs
+   of the per-message object plane it replaced, exactly.  The reference
+   numbers live in ``tests/fixtures/message_plane_pre_refactor.json`` /
+   ``sweep_rows_pre_message_plane.jsonl`` (generated before the array
+   path existed; floats survive the JSON round trip losslessly, so
+   ``==`` is bitwise, and sweep rows compare as serialised byte
+   strings) and ``delivery_pre_single_plane.json`` (raw exchanges,
+   Byzantine omission and pinned delays, taken on the object plane
+   just before it was deleted — matrices compare by digest of their
+   bytes, senders, send rounds, counters and traces exactly).
 2. **Per-node delivery resolution** — with ``node_trace`` the engines
    resolve every counter per receiver; the per-node arrays must sum
    exactly to the aggregate counters and the per-round trace, and obey
@@ -40,12 +39,7 @@ from repro.engine import make_scheduler
 from repro.io.results import history_to_dict
 from repro.learning.experiment import ExperimentConfig, run_experiment
 from repro.linalg.sparsity import detect_structure, project_profile
-from repro.network.batch import (
-    BatchInbox,
-    MESSAGE_PLANES,
-    build_round_batch,
-    resolve_message_plane,
-)
+from repro.network.batch import BatchInbox, build_round_batch, resolve_message_plane
 from repro.network.delivery import full_broadcast_plan
 from repro.network.message import Message
 from repro.network.reliable_broadcast import BroadcastPlan
@@ -53,46 +47,20 @@ from repro.network.reliable_broadcast import BroadcastPlan
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 HISTORY_FIXTURE = FIXTURES_DIR / "message_plane_pre_refactor.json"
 ROWS_FIXTURE = FIXTURES_DIR / "sweep_rows_pre_message_plane.jsonl"
-
-_spec = importlib.util.spec_from_file_location(
-    "make_message_plane_fixtures", FIXTURES_DIR / "make_message_plane_fixtures.py"
-)
-fixture_gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(fixture_gen)
-
-SCHEDULER_SETUPS = {
-    "synchronous": {},
-    "partial": {"delay": 2, "seed": 11},
-    "lossy": {"drop_rate": 0.2, "crash_schedule": ((1, 1, 3),), "seed": 11},
-    "asynchronous": {"wait_timeout": 2.0, "burstiness": 0.4, "seed": 11},
-}
+DELIVERY_FIXTURE = FIXTURES_DIR / "delivery_pre_single_plane.json"
 
 
-def _run_raw_exchange(scheduler: str, plane: str, *, n: int = 7, rounds: int = 5):
-    """Drive ``rounds`` full-broadcast rounds; returns comparable state."""
-    kwargs = dict(SCHEDULER_SETUPS[scheduler])
-    engine = make_scheduler(
-        scheduler, n, (n - 1,), keep_history=False, message_plane=plane, **kwargs
-    )
-    if scheduler == "asynchronous":
-        engine.wait_for(count=n - 2)
-    rng = np.random.default_rng(3)
-    payloads = {node: rng.normal(size=(rounds, 4)) for node in range(n)}
-    state = []
-    for round_index in range(rounds):
-        plans = [
-            full_broadcast_plan(node, payloads[node][round_index])
-            for node in range(n)
-        ]
-        result = engine.submit(plans, round_index)
-        for node in range(n):
-            inbox = result.inboxes.get(node, [])
-            if len(inbox):
-                state.append((node, result.received_matrix(node).tobytes(),
-                              tuple(result.senders(node))))
-            else:
-                state.append((node, b"", ()))
-    return state, engine.stats_snapshot(), engine.trace_snapshot()
+def _load_generator(name: str):
+    spec = importlib.util.spec_from_file_location(name, FIXTURES_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+fixture_gen = _load_generator("make_message_plane_fixtures")
+delivery_gen = _load_generator("make_delivery_fixtures")
+
+SCHEDULER_SETUPS = delivery_gen.SCHEDULER_SETUPS
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +88,40 @@ class TestPinnedFixtures:
         assert fixture_gen.sweep_row_lines() == expected
 
 
+def pinned_delivery(label: str) -> dict:
+    """The object plane's pinned record for one delivery case."""
+    return json.loads(DELIVERY_FIXTURE.read_text())["cases"][label]
+
+
+def delivery_record(label: str) -> dict:
+    """The current delivery path's record, normalised through JSON."""
+    return json.loads(json.dumps(delivery_gen.run_case(label)))
+
+
 class TestCrossPlaneEquivalence:
-    """Object and batch planes agree bitwise, live, for every scheduler."""
+    """Delivery against the object plane's outputs pinned before its removal."""
+
+    def test_fixture_was_taken_on_the_object_plane(self):
+        pinned = json.loads(DELIVERY_FIXTURE.read_text())
+        assert pinned["message_plane"] == "object"
+        assert len(pinned["generated_at_commit"]) == 40
+        assert sorted(pinned["cases"]) == sorted(delivery_gen.case_labels())
 
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_SETUPS))
     def test_raw_exchange_identical(self, scheduler):
-        object_out = _run_raw_exchange(scheduler, "object")
-        batch_out = _run_raw_exchange(scheduler, "batch")
-        assert object_out == batch_out
+        label = f"raw/{scheduler}"
+        assert delivery_record(label) == pinned_delivery(label)
 
-    def test_plane_registry(self):
-        assert set(MESSAGE_PLANES) == {"batch", "object"}
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_SETUPS))
+    def test_byzantine_omission_and_pinned_delays_identical(self, scheduler):
+        label = f"omission/{scheduler}"
+        assert delivery_record(label) == pinned_delivery(label)
+
+    def test_resolve_message_plane_names_the_one_plane(self):
         assert resolve_message_plane(None) == "batch"
-        assert resolve_message_plane("OBJECT") == "object"
+        assert resolve_message_plane("Batch") == "batch"
         with pytest.raises(ValueError, match="unknown message plane"):
-            resolve_message_plane("vector")
-
-    def test_env_fallback_selects_plane(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MESSAGE_PLANE", "object")
-        engine = make_scheduler("synchronous", 3)
-        assert engine.message_plane == "object"
-        monkeypatch.delenv("REPRO_MESSAGE_PLANE")
-        assert make_scheduler("synchronous", 3).message_plane == "batch"
+            resolve_message_plane("object")
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +196,6 @@ def test_in_flight_per_node_conservation(scheduler):
     assert np.array_equal(np.asarray(node["sent"]),
                           np.asarray(node["delivered"]) + expired)
     assert engine.pending_count() == 0
-
-
-def test_node_trace_requires_batch_plane():
-    with pytest.raises(ValueError, match="batch"):
-        make_scheduler("lossy", 4, drop_rate=0.1,
-                       message_plane="object", node_trace=True)
 
 
 def test_experiment_config_node_trace_validation():

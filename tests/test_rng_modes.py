@@ -6,17 +6,17 @@ the vectorized mode changes the draw order (one Bernoulli vector + one
 lag vector per round for the partial scheduler, a SIMD Pareto transform
 for the asynchronous one), so it is pinned *statistically* here instead:
 
-1. the exact per-node conservation identities hold in both modes and on
-   both message planes (``sent == delivered + expired_at_reset +
-   pending``, aggregate and per receiver);
+1. the exact per-node conservation identities hold in both modes
+   (``sent == delivered + expired_at_reset + pending``, aggregate and
+   per receiver);
 2. the realized lag distributions agree between modes at matched
    parameters (hand-rolled two-sample Kolmogorov–Smirnov test — the
    test environment has no scipy);
 3. end-to-end classification outcomes of a small paired sweep grid
    agree across modes;
-4. (regression, scalar mode) turning on ``node_trace``, an explicit
-   complete topology, or either message plane never shifts the scalar
-   RNG stream, for all four schedulers.
+4. (regression, scalar mode) turning on ``node_trace`` or an explicit
+   complete topology never shifts the scalar RNG stream, for all four
+   schedulers.
 
 Everything here is deterministic: fixed seeds make the KS statistics
 reproducible, so the alpha below is a design margin, not a flake rate.
@@ -68,12 +68,11 @@ PARTIAL_KW = dict(delay=3, delay_prob=0.4, seed=11)
 ASYNC_KW = dict(wait_timeout=2.0, burstiness=0.3, seed=11)
 
 
-def _make(scheduler: str, mode: str, n: int, plane: str = "batch", **extra):
+def _make(scheduler: str, mode: str, n: int, **extra):
     kwargs = dict(PARTIAL_KW if scheduler == "partial" else ASYNC_KW)
     kwargs.update(extra)
     engine = make_scheduler(
-        scheduler, n, keep_history=False, rng_mode=mode,
-        message_plane=plane, **kwargs,
+        scheduler, n, keep_history=False, rng_mode=mode, **kwargs,
     )
     if scheduler == "asynchronous":
         engine.wait_for(count=n - 2)
@@ -81,22 +80,19 @@ def _make(scheduler: str, mode: str, n: int, plane: str = "batch", **extra):
 
 
 # ---------------------------------------------------------------------------
-# 1. conservation identities, both modes x both planes
+# 1. conservation identities, both modes
 # ---------------------------------------------------------------------------
 
-CASES = [
-    ("scalar", "object"),
-    ("scalar", "batch"),
-    ("vectorized", "batch"),
-]
-
-
 @pytest.mark.parametrize("scheduler", ["partial", "asynchronous"])
-@pytest.mark.parametrize("mode,plane", CASES)
+# The "-batch" id suffix names the array-backed delivery path every
+# scheduler runs on; it keeps the ids stable.
+@pytest.mark.parametrize(
+    "mode", ["scalar", "vectorized"], ids=["scalar-batch", "vectorized-batch"]
+)
 class TestConservation:
-    def test_aggregate_identity_across_reset(self, scheduler, mode, plane):
+    def test_aggregate_identity_across_reset(self, scheduler, mode):
         n = 10
-        engine = _make(scheduler, mode, n, plane)
+        engine = _make(scheduler, mode, n)
         _drive(engine, n, rounds=6)
         engine.reset()  # expires the in-flight tail
         _drive(engine, n, rounds=6, start=6)
@@ -106,11 +102,9 @@ class TestConservation:
         )
         assert stats["dropped"] == 0  # these models never lose a message
 
-    def test_per_node_identity(self, scheduler, mode, plane):
-        if plane != "batch":
-            pytest.skip("per-node counters are a batch-plane feature")
+    def test_per_node_identity(self, scheduler, mode):
         n = 10
-        engine = _make(scheduler, mode, n, plane, node_trace=True)
+        engine = _make(scheduler, mode, n, node_trace=True)
         _drive(engine, n, rounds=5)
         engine.reset()
         _drive(engine, n, rounds=5, start=5)
@@ -296,7 +290,6 @@ SCHEDULER_SETUPS = {
 VARIANTS = {
     "baseline": {},
     "node_trace": {"node_trace": True},
-    "object_plane": {"message_plane": "object"},
     "complete_topology": {"topology": "complete"},
 }
 
@@ -332,14 +325,14 @@ def _run_variant(scheduler: str, variant: str, *, n: int = 7, rounds: int = 5):
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_SETUPS))
 def test_scalar_stream_isolation(scheduler):
-    """node_trace / complete topology / plane switch never shift the stream.
+    """node_trace / an explicit complete topology never shift the stream.
 
     The scalar RNG streams are a bitwise contract: observability knobs
-    and delivery-representation switches must be invisible to them, or
+    and topology representations must be invisible to them, or
     paired-seed comparisons (and the pinned fixtures) silently break.
     """
     baseline = _run_variant(scheduler, "baseline")
-    for variant in ("node_trace", "object_plane", "complete_topology"):
+    for variant in ("node_trace", "complete_topology"):
         assert _run_variant(scheduler, variant) == baseline, (
             f"{variant} shifted the {scheduler} scalar RNG stream"
         )
@@ -371,18 +364,6 @@ class TestPlumbing:
             make_scheduler("lossy", 4, drop_rate=0.1, rng_mode="vectorized")
         # The deterministic schedulers report the trivial scalar mode.
         assert make_scheduler("synchronous", 4).rng_mode == "scalar"
-
-    def test_vectorized_requires_batch_plane(self):
-        with pytest.raises(ValueError, match="batch message plane"):
-            make_scheduler(
-                "partial", 4, delay=1, rng_mode="vectorized",
-                message_plane="object",
-            )
-        with pytest.raises(ValueError, match="batch message plane"):
-            make_scheduler(
-                "asynchronous", 4, wait_timeout=1.0, rng_mode="vectorized",
-                message_plane="object",
-            )
 
     def test_config_validation_and_engine_threading(self):
         from repro.learning.experiment import _make_engine

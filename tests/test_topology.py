@@ -10,10 +10,10 @@ Five contracts of the sparse-topology refactor:
 3. **Validation** — disconnected graphs and quorum-infeasible degrees
    fail fast with diagnostics that name the fix.
 4. **Delivery** — the engines intersect the topology mask with their
-   own drop/crash/delay masks: both message planes agree bitwise under
-   a sparse topology, and an explicit complete topology is
-   bitwise-identical to no topology at all (the ``None`` default the
-   pinned pre-refactor fixtures exercise).
+   own drop/crash/delay masks: delivery under a ring matches the
+   object plane's pinned outputs bitwise, and an explicit complete
+   topology is bitwise-identical to no topology at all (the ``None``
+   default the pinned pre-refactor fixtures exercise).
 5. **Learning / sweep integration** — gossip exchange runs on sparse
    graphs, full agreement refuses infeasible ones, partitions
    apply/heal, and the ``topology`` axis round-trips through configs,
@@ -22,8 +22,10 @@ Five contracts of the sparse-topology refactor:
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,20 +186,22 @@ class TestValidation:
 # 4. delivery: engines under sparse topologies
 # ---------------------------------------------------------------------------
 
-SCHEDULER_SETUPS = {
-    "synchronous": {},
-    "partial": {"delay": 2, "seed": 11},
-    "lossy": {"drop_rate": 0.2, "crash_schedule": ((1, 1, 3),), "seed": 11},
-    "asynchronous": {"wait_timeout": 2.0, "burstiness": 0.4, "seed": 11},
-}
+FIXTURES_DIR = Path(__file__).parent / "fixtures"
+DELIVERY_FIXTURE = FIXTURES_DIR / "delivery_pre_single_plane.json"
+_spec = importlib.util.spec_from_file_location(
+    "make_delivery_fixtures", FIXTURES_DIR / "make_delivery_fixtures.py"
+)
+delivery_gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(delivery_gen)
+
+SCHEDULER_SETUPS = delivery_gen.SCHEDULER_SETUPS
 
 
-def _run_exchange(scheduler, plane, topology, *, n=8, rounds=5):
+def _run_exchange(scheduler, topology, *, n=8, rounds=5):
     """Drive full-broadcast rounds under ``topology``; comparable state."""
     kwargs = dict(SCHEDULER_SETUPS[scheduler])
     engine = make_scheduler(
-        scheduler, n, (n - 1,), keep_history=False,
-        message_plane=plane, topology=topology, **kwargs
+        scheduler, n, (n - 1,), keep_history=False, topology=topology, **kwargs
     )
     if scheduler == "asynchronous":
         engine.wait_for(count=2)
@@ -223,19 +227,20 @@ def _run_exchange(scheduler, plane, topology, *, n=8, rounds=5):
 class TestEngineTopology:
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_SETUPS))
     def test_cross_plane_identical_under_ring(self, scheduler):
-        ring = make_topology("ring", 8)
-        assert _run_exchange(scheduler, "object", ring) == \
-            _run_exchange(scheduler, "batch", ring)
+        # Pinned on the object plane before it was deleted (see
+        # tests/fixtures/make_delivery_fixtures.py).
+        label = f"ring/{scheduler}"
+        pinned = json.loads(DELIVERY_FIXTURE.read_text())["cases"][label]
+        assert json.loads(json.dumps(delivery_gen.run_case(label))) == pinned
 
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_SETUPS))
     def test_complete_topology_bitwise_matches_none(self, scheduler):
         complete = make_topology("complete", 8)
-        assert _run_exchange(scheduler, "batch", complete) == \
-            _run_exchange(scheduler, "batch", None)
+        assert _run_exchange(scheduler, complete) == _run_exchange(scheduler, None)
 
     def test_sparse_topology_restricts_receivers(self):
         ring = make_topology("ring", 8)
-        state, stats, _ = _run_exchange("synchronous", "batch", ring)
+        state, stats, _ = _run_exchange("synchronous", ring)
         for node, _, senders in state:
             assert set(senders) <= set(ring.neighbours(node).tolist())
         # 8 senders x 3 closed-neighbourhood receivers x 5 rounds.
